@@ -11,12 +11,24 @@
 // measures exactly this contrast, which is the paper's §1 motivation for
 // oblivious algorithms.
 //
-// Extent note: the merge's reads are data-dependent single blocks into
-// data-dependent slab slots, so they rarely coalesce (neither the disk
-// indices nor the buffer strides line up) — forecasting quality, not
-// transfer size, is this pass's lever. Its *output* still benefits: the
-// sink appends sequentially through StripedRun, whose extent-backed
-// blocks flush as coalesced extent writes.
+// Refill rule. Every run may hold `1 + lookahead` blocks (its allowance);
+// the rest of the merge's memory (M/B - D slots, after the D-block emit
+// buffer) is a spare pool. While at most D/4 runs own the last D blocks
+// consumed, each of them, once its queue is down to its allowance, refills
+// in one chunk of consecutive blocks — distinct disks by the stripe
+// layout, so up to D blocks per parallel read — sized to its allowance
+// plus an equal share of the spare pool. Otherwise (and for every other
+// run) the classic batch applies: one block per run below its allowance,
+// in forecast order. Near-sorted inputs consume one or two runs at a time
+// and so stream at full parallelism; random and adversarial inputs consume
+// many runs at once and keep the classic schedule. The rule reads only the
+// data and the queue state, never ticket completion, so sync and async
+// runs have identical I/O schedules.
+//
+// Extent note: classic refills are data-dependent single blocks into
+// data-dependent slab slots, so they rarely coalesce. Its *output* still
+// benefits: the sink appends sequentially through StripedRun, whose
+// extent-backed blocks flush as coalesced extent writes.
 #pragma once
 
 #include <deque>
@@ -36,7 +48,7 @@ struct MergePassOptions {
   u64 mem_records = 0;    // memory cap for buffers
   usize lookahead = 1;    // prefetched blocks per run beyond the current one
                           // (0 = naive demand paging)
-  usize refill_batch = 0;  // blocks fetched per forecast batch; 0 = D
+  usize refill_batch = 0;  // blocks per forecast batch or chunk; 0 = D
 };
 
 /// Merges `runs` (each sorted) into `sink`. One pass over the data; the
@@ -47,16 +59,23 @@ void multiway_merge_pass(PdmContext& ctx,
                          const MergePassOptions& opt, Cmp cmp = {}) {
   const usize rpb = ctx.rpb<R>();
   const usize k = runs.size();
+  const usize disks = ctx.D();
   PDM_CHECK(k > 0, "no runs to merge");
   trace::TraceSpan trace_span("pass", "merge_pass", "fan_in", k);
-  const usize slots = k * (1 + opt.lookahead);
-  PDM_CHECK(static_cast<u64>(slots + ctx.D()) * rpb <= opt.mem_records,
+  const usize allowance = 1 + opt.lookahead;  // current block + lookahead
+  const u64 mem_blocks = opt.mem_records / rpb;
+  PDM_CHECK(static_cast<u64>(k * allowance + disks) <= mem_blocks,
             "merge buffers exceed memory (reduce fan-in or lookahead)");
-  // Batch size for forecast refills: capped by the fan-in (at most one
-  // pending block per run per batch) so small merges still refill in
-  // batches instead of waiting for D free slots that can never accumulate.
+  // Slab: every run's allowance plus, when forecasting, the rest of the
+  // memory left after the D-block emit buffer as the spare pool.
+  const usize slots = opt.lookahead == 0
+                          ? k * allowance
+                          : static_cast<usize>(mem_blocks) - disks;
+  const usize spare = slots - k * allowance;
   const usize refill_batch =
-      std::min<usize>(k, opt.refill_batch != 0 ? opt.refill_batch : ctx.D());
+      opt.refill_batch != 0 ? opt.refill_batch : disks;
+  // Streaming engages while at most this many runs are being consumed.
+  const usize max_streams = std::max<usize>(1, disks / 4);
 
   TrackedBuffer<R> slab(ctx.budget(), slots * rpb);
   PipelineDrainGuard drain_guard(ctx.aio());  // after the slab it guards
@@ -71,32 +90,23 @@ void multiway_merge_pass(PdmContext& ctx,
   };
   struct RunState {
     std::deque<Loaded> queue;
-    u64 next_block = 0;   // next block index to fetch
-    bool fetch_pending = false;
+    u64 next_block = 0;  // next block index to fetch
+    usize recent = 0;    // blocks among the last `disks` consumed
   };
   std::vector<RunState> st(k);
+  usize spare_used = 0;  // sum over runs of max(0, queue.size() - allowance)
 
-  // Fetches go through the async pipeline: the batch is charged at
-  // submission (same parallel-op accounting as the synchronous path) and
-  // each fetched block carries the batch's completion ticket, waited for
-  // lazily on first access — so the merge loop overlaps with the reads.
-  auto fetch_batch = [&](const std::vector<usize>& which) {
-    std::vector<ReadReq> reqs;
-    reqs.reserve(which.size());
-    std::vector<usize> fetched;
-    fetched.reserve(which.size());
-    for (usize r : which) {
-      PDM_ASSERT(!free_slots.empty(), "no free merge slots");
-      const usize slot = free_slots.back();
-      free_slots.pop_back();
-      const u64 b = st[r].next_block++;
-      reqs.push_back(runs[r].read_req(b, slab.data() + slot * rpb));
-      st[r].queue.push_back(Loaded{slot, runs[r].records_in_block(b)});
-      st[r].fetch_pending = false;
-      fetched.push_back(r);
+  // The runs being consumed: owners of the last `disks` blocks the merge
+  // used up. Only consumption order (i.e. the data) moves this window.
+  std::deque<usize> window;
+  usize consuming = 0;  // runs with recent > 0
+  auto consumed_block = [&](usize r) {
+    window.push_back(r);
+    if (st[r].recent++ == 0) ++consuming;
+    if (window.size() > disks) {
+      if (--st[window.front()].recent == 0) --consuming;
+      window.pop_front();
     }
-    const IoTicket t = ctx.aio().read_async(reqs);
-    for (usize r : fetched) st[r].queue.back().ticket = t;
   };
 
   auto ensure_loaded = [&](Loaded& l) {
@@ -105,24 +115,42 @@ void multiway_merge_pass(PdmContext& ctx,
       l.ticket = 0;
     }
   };
-
-  // Forecast key of run r = last record of its last loaded block; the run
-  // with the smallest tail key will need its next block first.
-  auto pick_refills = [&](usize max_count) {
-    std::vector<usize> cand;
-    for (usize r = 0; r < k; ++r) {
-      if (st[r].next_block < runs[r].num_blocks() &&
-          st[r].queue.size() <= opt.lookahead) {
-        cand.push_back(r);
-        // The comparator below reads the tail key of the last loaded
-        // block, so that block's fetch must have landed.
-        if (!st[r].queue.empty()) ensure_loaded(st[r].queue.back());
-      }
+  auto live = [&](usize r) { return st[r].next_block < runs[r].num_blocks(); };
+  auto room = [&](usize r) {  // unfetched part of run r's own allowance
+    const usize q = st[r].queue.size();
+    return q < allowance ? allowance - q : usize{0};
+  };
+  // Streaming: a consumed run whose queue is down to its allowance may
+  // refill up to its allowance plus an equal share of the spare pool, in
+  // one chunk of consecutive blocks — distinct disks by the stripe layout.
+  auto chunk_size = [&](usize r) -> usize {
+    if (spare == 0 || consuming == 0 || consuming > max_streams ||
+        st[r].recent == 0 || st[r].queue.size() > allowance) {
+      return 0;
     }
-    std::sort(cand.begin(), cand.end(), [&](usize a, usize b) {
+    const usize share = spare / consuming;
+    const u64 left = runs[r].num_blocks() - st[r].next_block;
+    return static_cast<usize>(std::min<u64>(
+        {left, refill_batch, allowance + share - st[r].queue.size(),
+         room(r) + (spare - spare_used)}));
+  };
+
+  // Forecast order: a starving run first, then by the last key of the
+  // last loaded block — the run with the smallest tail needs its next
+  // block first. Ties go to the lower run index.
+  std::vector<usize> order;
+  auto forecast = [&] {
+    order.clear();
+    for (usize r = 0; r < k; ++r) {
+      if (!live(r)) continue;
+      order.push_back(r);
+      // The comparator reads the tail key, so that fetch must have landed.
+      if (!st[r].queue.empty()) ensure_loaded(st[r].queue.back());
+    }
+    std::sort(order.begin(), order.end(), [&](usize a, usize b) {
       const auto& qa = st[a].queue;
       const auto& qb = st[b].queue;
-      if (qa.empty() != qb.empty()) return qa.empty();  // starving run first
+      if (qa.empty() != qb.empty()) return qa.empty();
       if (qa.empty()) return a < b;
       const R& ta = slab[qa.back().slot * rpb + qa.back().valid - 1];
       const R& tb = slab[qb.back().slot * rpb + qb.back().valid - 1];
@@ -130,22 +158,54 @@ void multiway_merge_pass(PdmContext& ctx,
       if (cmp(tb, ta)) return false;
       return a < b;
     });
-    if (cand.size() > max_count) cand.resize(max_count);
-    return cand;
   };
 
-  // Initial load: first block of every non-empty run, one batch.
-  {
-    std::vector<usize> init;
-    for (usize r = 0; r < k; ++r) {
-      if (runs[r].num_blocks() > 0) init.push_back(r);
+  // One refill batch, in forecast order: each streaming run takes its
+  // chunk; any other run below its allowance takes its next block, up to
+  // `max_singles` such blocks (classic forecasting). Every input is data
+  // or queue state, never ticket completion, so the schedule is the same
+  // at any async depth.
+  std::vector<ReadReq> reqs;
+  std::vector<std::pair<usize, usize>> take;  // (run, blocks)
+  auto refill = [&](usize max_singles) {
+    forecast();
+    reqs.clear();
+    take.clear();
+    usize singles = 0;
+    for (usize r : order) {
+      RunState& s = st[r];
+      usize n = chunk_size(r);
+      if (n == 0 && room(r) > 0 && singles < max_singles) {
+        n = 1;
+        ++singles;
+      }
+      if (n == 0) continue;
+      for (usize j = 0; j < n; ++j) {
+        PDM_ASSERT(!free_slots.empty(), "no free merge slots");
+        const usize slot = free_slots.back();
+        free_slots.pop_back();
+        if (s.queue.size() >= allowance) ++spare_used;
+        reqs.push_back(
+            runs[r].read_req(s.next_block, slab.data() + slot * rpb));
+        s.queue.push_back(
+            Loaded{slot, runs[r].records_in_block(s.next_block)});
+        ++s.next_block;
+      }
+      take.emplace_back(r, n);
     }
-    fetch_batch(init);
-    if (opt.lookahead > 0) {
-      auto more = pick_refills(free_slots.size());
-      if (!more.empty()) fetch_batch(more);
+    if (reqs.empty()) return;
+    // The batch is charged at submission; each block carries its ticket
+    // and is waited for lazily on first access, so merging overlaps reads.
+    const IoTicket t = ctx.aio().read_async(reqs);
+    for (const auto& [r, n] : take) {
+      auto& q = st[r].queue;
+      for (usize j = q.size() - n; j < q.size(); ++j) q[j].ticket = t;
     }
-  }
+  };
+
+  // Initial load: one batch gives every non-empty run its first block
+  // (nothing has been consumed yet, so nothing streams).
+  refill(k);
 
   auto head = [&](usize r) -> const R& {
     Loaded& l = st[r].queue.front();
@@ -159,7 +219,7 @@ void multiway_merge_pass(PdmContext& ctx,
   }
   tree.build();
 
-  TrackedBuffer<R> emit(ctx.budget(), static_cast<usize>(ctx.D()) * rpb);
+  TrackedBuffer<R> emit(ctx.budget(), disks * rpb);
   usize emitted = 0;
 
   auto advance = [&](usize r) -> bool {  // true if run r still has a head
@@ -168,16 +228,29 @@ void multiway_merge_pass(PdmContext& ctx,
     if (++cur.pos < cur.valid) return true;
     free_slots.push_back(cur.slot);
     s.queue.pop_front();
+    if (s.queue.size() >= allowance) --spare_used;
+    consumed_block(r);
     if (s.queue.empty()) {
-      if (s.next_block < runs[r].num_blocks()) {
-        // Forecast miss: synchronous single-block fetch (1 parallel I/O
-        // moving 1 block — the utilization penalty the bench measures).
-        fetch_batch({r});
-      } else {
-        return false;
-      }
+      if (!live(r)) return false;
+      // Forecast miss: the starving run leads the forecast order, so the
+      // batch serves it first (head() then waits for it).
+      refill(refill_batch);
     }
     return true;
+  };
+
+  // Checkpoint, once per block's worth of output: refill when a streaming
+  // run is down to its allowance, or (classic) once min(k, refill_batch)
+  // allowance slots are free.
+  const usize classic_at = std::min(k, refill_batch);
+  auto checkpoint = [&] {
+    usize own_free = 0;
+    bool stream = false;
+    for (usize r = 0; r < k; ++r) {
+      own_free += room(r);
+      stream = stream || (live(r) && chunk_size(r) > 0);
+    }
+    if (stream || own_free >= classic_at) refill(refill_batch);
   };
 
   u64 since_refill = 0;
@@ -194,15 +267,9 @@ void multiway_merge_pass(PdmContext& ctx,
     } else {
       tree.exhaust_min();
     }
-    // Periodic batched refill driven by forecasting.
     if (opt.lookahead > 0 && ++since_refill >= rpb) {
       since_refill = 0;
-      if (free_slots.size() >= refill_batch) {
-        auto which = pick_refills(refill_batch);
-        if (which.size() >= refill_batch / 2 || !which.empty()) {
-          fetch_batch(which);
-        }
-      }
+      checkpoint();
     }
   }
   if (emitted > 0) sink.push(std::span<const R>(emit.data(), emitted));

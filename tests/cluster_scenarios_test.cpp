@@ -367,7 +367,11 @@ TEST(ClusterScenarios, DrainShardMigratesQueuedJobsUnderLoad)
     EXPECT_EQ(info.state, JobState::kDone);
   });
   // Retire shard 1 mid-backlog: queued jobs migrate, the running one
-  // finishes in place, the shard's records move to cluster storage.
+  // finishes in place, the shard's records move to cluster storage. Wait
+  // until a job is running there, so one is bound to finish in place.
+  while (cluster.shard(1).load().running == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
   cluster.drain_shard(1);
   EXPECT_FALSE(cluster.shard_active(1));
   EXPECT_EQ(cluster.active_shards().size(), 3u);

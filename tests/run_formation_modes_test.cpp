@@ -83,7 +83,9 @@ TEST_P(AdaptiveRunFormation, RunsSortedCoverInputWithLengthBounds) {
           << "run " << i << " length " << lens[i];
     }
   }
-  if (dist == Dist::kSorted) EXPECT_EQ(runs.size(), 1u);
+  if (dist == Dist::kSorted) {
+    EXPECT_EQ(runs.size(), 1u);
+  }
   if (dist == Dist::kNearSortedDisplaced) {
     // Window n/32 = 64 <= M/2: the heap absorbs all displacement.
     EXPECT_EQ(runs.size(), 1u);
@@ -322,6 +324,81 @@ TEST(OrderAdaptiveService, OptInProbePlansOnePassForNearSorted) {
   EXPECT_NEAR(near_passes, 1.0, 0.25);
   EXPECT_EQ(random_algo, plain_algo);
   EXPECT_NE(random_algo, "OrderAdaptive");
+}
+
+
+// ------------------------------------------------------- streaming merge
+
+struct MergeRun {
+  std::vector<u64> records;
+  IoStats stats;
+};
+
+// Replacement-selection runs formed synchronously, then one merge pass at
+// the given async depth: the stats after the merge differ between depths
+// only through the merge's own schedule.
+MergeRun merge_at_depth(const std::vector<u64>& data, u64 mem, usize depth) {
+  const auto g = Geometry::square(mem);
+  auto ctx = test::make_ctx<u64>(g);
+  auto in = test::stage_input<u64>(*ctx, data);
+  RunFormationOptions fopt;
+  fopt.run_len = mem;
+  fopt.mode = RunFormationMode::kReplacementSelection;
+  auto runs = form_runs_flat<u64>(*ctx, in, fopt);
+  EXPECT_GT(runs.size(), 1u);
+  StripedRun<u64> out(*ctx, 0);
+  {
+    AsyncDepthScope scope(ctx->aio(), depth);
+    RunSink<u64> sink(out);
+    MergePassOptions mopt;
+    mopt.mem_records = mem;
+    multiway_merge_pass<u64>(*ctx, std::span<const StripedRun<u64>>(runs),
+                             sink, mopt);
+    ctx->aio().drain();
+  }
+  MergeRun m{{}, ctx->stats()};
+  m.records = out.read_all();
+  m.records.resize(data.size());
+  return m;
+}
+
+// Near-sorted input consumes one or two runs at a time: the merge streams
+// them in chunks of consecutive blocks, so the sort lands within one pass
+// of the probed plan's prediction, and the I/O schedule is identical at
+// any async depth.
+TEST(OrderAdaptiveMerge, NearSortedStreamsAtDiskParallelism) {
+  const u64 mem = 4096;
+  const auto g = Geometry::square(mem);
+  const u64 n = 64 * mem;
+  Rng rng(41);
+  const auto data = make_keys(static_cast<usize>(n),
+                              Dist::kNearSortedDisplaced, rng);
+  auto ctx = test::make_ctx<u64>(g);
+  auto in = test::stage_input<u64>(*ctx, data);
+  const auto probe = probe_presortedness<u64>(*ctx, in, mem);
+  const auto plan = choose_plan(n, mem, g.rpb, 1.0, probe.est_runs);
+  ASSERT_EQ(plan.algo, Algo::kOrderAdaptive);
+
+  OrderAdaptiveOptions o;
+  o.mem_records = mem;
+  auto res = order_adaptive_sort<u64>(*ctx, in, o);
+  test::expect_sorted_output<u64>(res.output, data);
+  EXPECT_LE(res.report.passes, plan.expected_passes + 1.0);
+  // Formation reads at full parallelism; the merge reads must too, on
+  // average at least D/2 blocks per parallel read over the whole sort.
+  EXPECT_GE(res.report.io.blocks_read,
+            res.report.io.read_ops * (g.disks / 2));
+
+  const MergeRun sync = merge_at_depth(data, mem, 0);
+  const MergeRun async = merge_at_depth(data, mem, 4);
+  auto expect = data;
+  std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(sync.records, expect);
+  EXPECT_EQ(async.records, sync.records);
+  EXPECT_EQ(async.stats.read_ops, sync.stats.read_ops);
+  EXPECT_EQ(async.stats.blocks_read, sync.stats.blocks_read);
+  EXPECT_EQ(async.stats.write_ops, sync.stats.write_ops);
+  EXPECT_EQ(async.stats.schedule_hash, sync.stats.schedule_hash);
 }
 
 }  // namespace
