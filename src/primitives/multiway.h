@@ -31,6 +31,7 @@
 // extent-backed blocks flush as coalesced extent writes.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <span>
