@@ -1,4 +1,4 @@
-// E20 — order-adaptive run formation. Three arms:
+// E20 — order-adaptive run formation. Four arms:
 //
 //  1. Near-sorted gate: at N = 8M, a k-displaced near-sorted input under
 //     the probing planner must sort in STRICTLY fewer passes than the
@@ -14,6 +14,8 @@
 //     across the workload generators — expected 2M runs on random input
 //     (i.e. about half the fixed-run count), one run on sorted and
 //     k-displaced input, and <= 3 runs on reverse input under up/down.
+//  4. Multi-run merge: at N = 64M the displaced input forms many runs; the
+//     probed sort must stay within one pass of the plan's prediction.
 #include "bench_support.h"
 #include "core/adaptive.h"
 #include "util/trace.h"
@@ -141,6 +143,46 @@ int main(int argc, char** argv) {
   jw.key("plan_unchanged").value(plan_unchanged);
   jw.end_obj();
 
+  // --- Arm 4: multi-run near-sorted merge -----------------------------
+  // At N = 64M the displaced input forms many runs, so the sort also pays
+  // a merge level; streaming the runs being consumed keeps the whole sort
+  // within one pass of the probed plan's prediction.
+  const u64 n_multi = 64 * mem;
+  std::cout << "\n-- multi-run near-sorted merge, N = " << fmt_count(n_multi)
+            << " --\n";
+  Rng mrng(3);
+  auto multi = make_keys(static_cast<usize>(n_multi),
+                         Dist::kNearSortedDisplaced, mrng);
+  double multi_pred = 0, multi_passes = 0, multi_util = 0;
+  std::string multi_algo;
+  {
+    auto ctx = make_ctx(g);
+    auto in = stage<u64>(*ctx, multi);
+    const auto pr = probe_presortedness<u64>(*ctx, in, mem);
+    const auto plan = choose_plan(n_multi, mem, g.rpb, 1.0, pr.est_runs);
+    multi_pred = plan.expected_passes;
+    AdaptiveOptions o;
+    o.mem_records = mem;
+    o.est_runs = pr.est_runs;
+    auto res = pdm_sort<u64>(*ctx, in, o);
+    check_sorted<u64>(res.output, n_multi);
+    multi_algo = res.report.algorithm;
+    multi_passes = res.report.passes;
+    multi_util = res.report.utilization;
+  }
+  const bool multi_ok = multi_passes <= multi_pred + 1.0;
+  std::cout << "algo=" << multi_algo << " predicted=" << multi_pred
+            << " passes=" << multi_passes << " blocks/op=" << multi_util
+            << "\n";
+  jw.key("multi_run").begin_obj();
+  jw.key("n").value(n_multi);
+  jw.key("algo").value(multi_algo);
+  jw.key("predicted_passes").value(multi_pred);
+  jw.key("passes").value(multi_passes);
+  jw.key("blocks_per_op").value(multi_util);
+  jw.key("within_one_pass").value(multi_ok);
+  jw.end_obj();
+
   // --- Arm 3: run-length survey across workloads ----------------------
   std::cout << "\n-- run formation survey (runs; fixed would be "
             << n / mem << ") --\n";
@@ -194,7 +236,7 @@ int main(int argc, char** argv) {
 
   const bool gate_pass =
       gate_fewer_passes && gate_wall && records_equal && hash_equal &&
-      plan_unchanged && survey_ok;
+      plan_unchanged && survey_ok && multi_ok;
   jw.key("survey_ok").value(survey_ok);
   jw.key("gate_pass").value(gate_pass);
   jw.end_obj();
@@ -218,6 +260,7 @@ int main(int argc, char** argv) {
                   : !records_equal || !hash_equal
                       ? "kFixed default no longer byte-identical"
                   : !plan_unchanged ? "probe changed the random-input plan"
+                  : !multi_ok ? "multi-run merge above predicted passes + 1"
                                     : "run-length survey violated bounds")
               << "\n";
     return 1;
