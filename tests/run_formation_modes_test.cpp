@@ -401,5 +401,25 @@ TEST(OrderAdaptiveMerge, NearSortedStreamsAtDiskParallelism) {
   EXPECT_EQ(async.stats.schedule_hash, sync.stats.schedule_hash);
 }
 
+
+// Random input consumes many runs at once, so the merge keeps the classic
+// forecasting batch; the spare memory must not make it worse. 10.13 is
+// the pass count this shape measured before the merge streamed (with
+// classic batches and one-block forecast misses).
+TEST(OrderAdaptiveMerge, ProbedPermutationNoWorse) {
+  const u64 mem = 4096;
+  const auto g = Geometry::square(mem);
+  const u64 n = 64 * mem;
+  Rng rng(7);
+  const auto data = make_keys(static_cast<usize>(n), Dist::kPermutation, rng);
+  auto ctx = test::make_ctx<u64>(g);
+  auto in = test::stage_input<u64>(*ctx, data);
+  OrderAdaptiveOptions o;
+  o.mem_records = mem;
+  auto res = order_adaptive_sort<u64>(*ctx, in, o);
+  test::expect_sorted_output<u64>(res.output, data);
+  EXPECT_LE(res.report.passes, 10.13);
+}
+
 }  // namespace
 }  // namespace pdm
