@@ -369,7 +369,8 @@ TEST(ClusterScenarios, DrainShardMigratesQueuedJobsUnderLoad)
   // Retire shard 1 mid-backlog: queued jobs migrate, the running one
   // finishes in place, the shard's records move to cluster storage. Wait
   // until a job is running there, so one is bound to finish in place.
-  while (cluster.shard(1).load().running == 0) {
+  for (ShardLoad l = cluster.shard(1).load(); l.running == 0 && l.queued > 0;
+       l = cluster.shard(1).load()) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   cluster.drain_shard(1);
